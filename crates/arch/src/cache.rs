@@ -21,6 +21,12 @@ impl CacheConfig {
 /// Only hit/miss behaviour is modeled (no data storage, no writeback
 /// traffic) — the cost models charge a fixed penalty per miss.
 ///
+/// A repeat access to the line of the previous access (consecutive
+/// instruction fetches, mostly) counts a hit and returns before the set
+/// walk. That is exact LRU: the line is already the most recent in its
+/// set, and refreshing its stamp would not change the recency order of
+/// any set.
+///
 /// ```
 /// use strata_arch::{CacheConfig, CacheSim};
 /// let mut c = CacheSim::new(CacheConfig { sets: 2, ways: 1, line_bytes: 16 });
@@ -42,6 +48,8 @@ pub struct CacheSim {
     line_shift: u32,
     /// `sets - 1` (sets is a power of two).
     set_mask: u32,
+    /// Line of the previous access (`u64::MAX` before the first).
+    last_line: u64,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -68,6 +76,7 @@ impl CacheSim {
             stamps: vec![0; slots],
             line_shift: config.line_bytes.trailing_zeros(),
             set_mask: config.sets - 1,
+            last_line: u64::MAX,
             clock: 0,
             hits: 0,
             misses: 0,
@@ -83,8 +92,13 @@ impl CacheSim {
     /// allocate the line, evicting LRU.
     #[inline]
     pub fn access(&mut self, addr: u32) -> bool {
-        self.clock += 1;
         let line = (addr >> self.line_shift) as u64;
+        if line == self.last_line {
+            self.hits += 1;
+            return true;
+        }
+        self.last_line = line;
+        self.clock += 1;
         let set = (line as u32) & self.set_mask;
         let base = (set * self.config.ways) as usize;
         let ways = self.config.ways as usize;

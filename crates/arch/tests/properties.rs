@@ -2,7 +2,7 @@
 //! repo's deterministic [`SmallRng`] rather than an external
 //! property-testing framework.
 
-use strata_arch::{Btb, CacheConfig, CacheSim, CondPredictor, Ras};
+use strata_arch::{ArchProfile, Btb, CacheConfig, CacheSim, CondPredictor, Ras};
 use strata_stats::rng::SmallRng;
 
 #[test]
@@ -21,6 +21,121 @@ fn cache_access_immediately_after_access_hits() {
                 c.access(a),
                 "address {a:#x} must hit right after being brought in"
             );
+        }
+    }
+}
+
+/// Textbook LRU for the fast-path property: each set keeps its lines
+/// ordered from most to least recently used.
+struct RefLru {
+    cfg: CacheConfig,
+    sets: Vec<Vec<u64>>,
+    hits: u64,
+    misses: u64,
+}
+
+impl RefLru {
+    fn new(cfg: CacheConfig) -> RefLru {
+        RefLru {
+            cfg,
+            sets: vec![Vec::new(); cfg.sets as usize],
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn access(&mut self, addr: u32) -> bool {
+        let line = (addr / self.cfg.line_bytes) as u64;
+        let set = &mut self.sets[(line % self.cfg.sets as u64) as usize];
+        let hit = match set.iter().position(|&l| l == line) {
+            Some(i) => {
+                set.remove(i);
+                true
+            }
+            None => {
+                set.truncate(self.cfg.ways as usize - 1);
+                false
+            }
+        };
+        set.insert(0, line);
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        hit
+    }
+}
+
+/// An address stream mixing repeated-line runs, set conflicts (more
+/// lines than ways in one set), sequential fetch and random jumps.
+fn cache_stream(rng: &mut SmallRng, cfg: CacheConfig, n: usize) -> Vec<u32> {
+    let span = cfg.capacity() * 4;
+    let stride = cfg.sets * cfg.line_bytes;
+    let mut out = Vec::with_capacity(n + 64);
+    let mut cur = rng.next_u32() % span;
+    while out.len() < n {
+        match rng.gen_range(0u32..5) {
+            0 => {
+                let line = cur & !(cfg.line_bytes - 1);
+                for _ in 0..rng.gen_range(1u32..8) {
+                    out.push(line + rng.gen_range(0..cfg.line_bytes));
+                }
+            }
+            1 => {
+                let base = rng.next_u32() % span;
+                let lines = cfg.ways + 2;
+                for _ in 0..rng.gen_range(1..3 * lines) {
+                    out.push(base.wrapping_add(rng.gen_range(0..lines) * stride));
+                }
+            }
+            2 => {
+                cur = rng.next_u32() % span;
+                out.push(cur);
+            }
+            3 => out.push(rng.next_u32()),
+            _ => {
+                cur = cur.wrapping_add(4);
+                out.push(cur);
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn cache_fast_path_matches_reference_lru() {
+    let small = |ways| CacheConfig {
+        sets: 8,
+        ways,
+        line_bytes: 16,
+    };
+    let mut geometries = vec![small(1), small(2), small(4)];
+    for p in ArchProfile::all().into_iter().chain([ArchProfile::ideal()]) {
+        geometries.extend([p.icache, p.dcache]);
+    }
+    let mut rng = SmallRng::seed_from_u64(0xCAC4_0003);
+    for cfg in geometries {
+        for _ in 0..20 {
+            let mut fast = CacheSim::new(cfg);
+            let mut naive = RefLru::new(cfg);
+            let stream = cache_stream(&mut rng, cfg, 2000);
+            for (i, &a) in stream.iter().enumerate() {
+                assert_eq!(
+                    fast.access(a),
+                    naive.access(a),
+                    "{cfg:?} access {i} at {a:#x}"
+                );
+            }
+            assert_eq!((fast.hits(), fast.misses()), (naive.hits, naive.misses));
+        }
+        // The first access after construction is a miss, and a repeat of
+        // it (the fast path's first chance) a hit.
+        for a in [0, u32::MAX, rng.next_u32()] {
+            let mut fast = CacheSim::new(cfg);
+            assert!(!fast.access(a));
+            assert!(fast.access(a));
+            assert_eq!((fast.hits(), fast.misses()), (1, 1));
         }
     }
 }

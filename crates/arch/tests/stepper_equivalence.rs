@@ -85,7 +85,8 @@ fn fused_run_loop_matches_single_stepping() {
                 Ok(StepOutcome::Halted)
                 | Err(MachineError::OutOfBounds { .. })
                 | Err(MachineError::UnalignedPc { .. })
-                | Err(MachineError::Decode { .. }) => break,
+                | Err(MachineError::Decode { .. })
+                | Err(MachineError::WatchedStore { .. }) => break,
                 Ok(StepOutcome::Running)
                 | Ok(StepOutcome::Trap(_))
                 | Err(MachineError::OutOfFuel { .. }) => {}

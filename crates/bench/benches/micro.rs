@@ -18,7 +18,7 @@
 //! EXPERIMENTS.md for how to opt a machine-local baseline in.
 
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use strata_stats::Json;
 
@@ -54,6 +54,25 @@ fn time_ns(mut f: impl FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// [`time_ns`] for work that consumes fresh state: `setup` builds it
+/// untimed before every timed call of `f`, and it is dropped untimed after.
+fn time_setup_ns<T>(mut setup: impl FnMut() -> T, mut f: impl FnMut(&mut T)) -> f64 {
+    let mut once = || {
+        let mut state = setup();
+        let t = Instant::now();
+        f(&mut state);
+        t.elapsed()
+    };
+    once();
+    let one = once().as_nanos().max(1) as u64;
+    let batch = (10_000_000 / one).clamp(1, 1_000) as u32;
+    let mut samples: Vec<f64> = (0..9)
+        .map(|_| (0..batch).map(|_| once()).sum::<Duration>().as_nanos() as f64 / batch as f64)
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
 fn human(ns: f64) -> String {
     if ns >= 1e6 {
         format!("{:.2} ms", ns / 1e6)
@@ -81,7 +100,21 @@ impl Bench {
     /// Runs one benchmark; `elements` is the work-unit count for a derived
     /// per-element rate (0 = no rate column).
     fn run(&mut self, name: &str, elements: u64, f: impl FnMut()) {
-        let ns = time_ns(f);
+        self.record(name, elements, time_ns(f));
+    }
+
+    /// [`Bench::run`] timing only `f`, over fresh state from `setup`.
+    fn run_setup<T>(
+        &mut self,
+        name: &str,
+        elements: u64,
+        setup: impl FnMut() -> T,
+        f: impl FnMut(&mut T),
+    ) {
+        self.record(name, elements, time_setup_ns(setup, f));
+    }
+
+    fn record(&mut self, name: &str, elements: u64, ns: f64) {
         let per = if elements > 0 {
             human(ns / elements as f64)
         } else {
@@ -318,24 +351,42 @@ fn main() {
         }
     });
 
-    // Translation and end-to-end.
+    // Translation and end-to-end. Construction (`Sdt::new`: guest memory,
+    // stubs, tables) is timed on its own; the run rows build their SDT
+    // untimed and report ns per retired guest instruction.
     let gcc = (by_name("gcc").unwrap().build)(&Params::default());
-    b.run("sdt/construct_and_translate_entry", 0, || {
-        let mut sdt = Sdt::new(SdtConfig::ibtc_inline(1024), &gcc).unwrap();
-        // Run just far enough to force initial translation work.
-        let _ = black_box(sdt.run(ArchProfile::x86_like(), 50_000));
+    b.run("sdt/construct_gcc", 0, || {
+        black_box(Sdt::new(SdtConfig::ibtc_inline(1024), &gcc).unwrap());
     });
+    // The first 50k instructions of gcc: cold, so translation-heavy.
+    b.run_setup(
+        "sdt/run_gcc_cold_50k_instrs",
+        50_000,
+        || Sdt::new(SdtConfig::ibtc_inline(1024), &gcc).unwrap(),
+        |sdt| {
+            let _ = black_box(sdt.run(ArchProfile::x86_like(), 50_000));
+        },
+    );
     let spin = interpreter_program();
-    b.run("sdt/run_400k_instr_program", 0, || {
-        let mut sdt = Sdt::new(SdtConfig::ibtc_inline(1024), &spin).unwrap();
-        let report = sdt.run(ArchProfile::x86_like(), 50_000_000).unwrap();
-        black_box(report.total_cycles);
+    let spin_sdt = || Sdt::new(SdtConfig::ibtc_inline(1024), &spin).unwrap();
+    let spin_instrs = spin_sdt()
+        .run(ArchProfile::x86_like(), 50_000_000)
+        .unwrap()
+        .instructions;
+    b.run_setup("sdt/run_400k_instr_program", spin_instrs, spin_sdt, |sdt| {
+        black_box(
+            sdt.run(ArchProfile::x86_like(), 50_000_000)
+                .unwrap()
+                .total_cycles,
+        );
     });
 
     // Dispatch-emission cost per strategy: translating a 32-site indirect
-    // chain emits exactly 32 jump-dispatch sequences, so the per-element
-    // column approximates one site's emission (plus one cold execution)
-    // under each strategy. Construction cost is identical across rows.
+    // chain emits exactly 32 jump-dispatch sequences. `construct/*` times
+    // `Sdt::new` alone (stubs and fixed tables differ per strategy);
+    // `emit/*` times the run on an already-built SDT, so its per-element
+    // column is one site's translation and emission plus one cold
+    // execution of it.
     let chain = indirect_chain_program(32);
     let two_way = {
         let mut c = SdtConfig::ibtc_inline(512);
@@ -360,14 +411,11 @@ fn main() {
         c
     };
     let strategies: [(&str, SdtConfig); 8] = [
-        ("emit/reentry_32sites", SdtConfig::reentry()),
-        ("emit/ibtc_inline_32sites", SdtConfig::ibtc_inline(512)),
-        ("emit/ibtc_2way_32sites", two_way),
-        (
-            "emit/ibtc_outline_32sites",
-            SdtConfig::ibtc_out_of_line(512),
-        ),
-        ("emit/ibtc_persite_32sites", {
+        ("reentry", SdtConfig::reentry()),
+        ("ibtc_inline", SdtConfig::ibtc_inline(512)),
+        ("ibtc_2way", two_way),
+        ("ibtc_outline", SdtConfig::ibtc_out_of_line(512)),
+        ("ibtc_persite", {
             let mut c = SdtConfig::ibtc_inline(512);
             c.ib = strata_core::IbMechanism::Ibtc {
                 entries: 64,
@@ -376,17 +424,24 @@ fn main() {
             };
             c
         }),
-        ("emit/sieve_32sites", SdtConfig::sieve(512)),
-        ("emit/adaptive_32sites", adaptive),
-        ("emit/predictive_32sites", predictive),
+        ("sieve", SdtConfig::sieve(512)),
+        ("adaptive", adaptive),
+        ("predictive", predictive),
     ];
     for (name, cfg) in strategies {
-        b.run(name, 32, || {
-            let mut sdt = Sdt::new(cfg, &chain).unwrap();
-            let report = sdt.run(ArchProfile::x86_like(), 1_000_000).unwrap();
-            assert!(report.halted);
-            black_box(report.total_cycles);
+        b.run(&format!("construct/{name}"), 0, || {
+            black_box(Sdt::new(cfg, &chain).unwrap());
         });
+        b.run_setup(
+            &format!("emit/{name}_32sites"),
+            32,
+            || Sdt::new(cfg, &chain).unwrap(),
+            |sdt| {
+                let report = sdt.run(ArchProfile::x86_like(), 1_000_000).unwrap();
+                assert!(report.halted);
+                black_box(report.total_cycles);
+            },
+        );
     }
 
     // Trace codec: block-compressed encode/decode of a real recorded

@@ -16,8 +16,17 @@ pub(crate) enum Mark {
     RetEntry,
 }
 
+/// The per-word bookkeeping of the fragment cache: why the word exists
+/// and whether it starts a dispatch sequence. One array of these keeps
+/// the per-retire attribution to a single bounds check and load.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct Tag {
+    pub origin: Origin,
+    pub mark: Mark,
+}
+
 /// The fragment cache: an emit cursor over a guest-memory region, plus
-/// per-word [`Origin`] tags and execution [`Mark`]s.
+/// a per-word [`Tag`].
 ///
 /// All methods take the guest [`Memory`] explicitly so the cache
 /// bookkeeping and the machine can be borrowed independently.
@@ -26,19 +35,16 @@ pub(crate) struct Cache {
     base: u32,
     cursor: u32,
     limit: u32,
-    origins: Vec<Origin>,
-    marks: Vec<Mark>,
+    tags: Vec<Tag>,
 }
 
 impl Cache {
     pub fn new(base: u32, bytes: u32) -> Cache {
-        let words = (bytes / 4) as usize;
         Cache {
             base,
             cursor: base,
             limit: base + bytes,
-            origins: vec![Origin::App; words],
-            marks: vec![Mark::None; words],
+            tags: vec![Tag::default(); (bytes / 4) as usize],
         }
     }
 
@@ -52,16 +58,13 @@ impl Cache {
         self.cursor - self.base
     }
 
-    /// Resets the emit cursor to `addr` (a flush), clearing the origin
-    /// tags and marks of everything at or beyond it. Stubs emitted below
-    /// `addr` survive.
+    /// Resets the emit cursor to `addr` (a flush), clearing the tags of
+    /// everything at or beyond it. Stubs emitted below `addr` survive.
     pub fn reset_to(&mut self, addr: u32) {
         debug_assert!(addr >= self.base && addr <= self.limit && addr.is_multiple_of(4));
         let first = ((addr - self.base) / 4) as usize;
-        for slot in first..((self.cursor - self.base) / 4) as usize {
-            self.origins[slot] = Origin::App;
-            self.marks[slot] = Mark::None;
-        }
+        let end = ((self.cursor - self.base) / 4) as usize;
+        self.tags[first..end].fill(Tag::default());
         self.cursor = addr;
     }
 
@@ -72,29 +75,26 @@ impl Cache {
     }
 
     /// Origin tag of the instruction at `pc`, if `pc` is inside the cache.
-    #[inline]
     pub fn origin_at(&self, pc: u32) -> Option<Origin> {
-        if pc >= self.base && pc < self.limit {
-            Some(self.origins[((pc - self.base) / 4) as usize])
-        } else {
-            None
-        }
+        (pc >= self.base && pc < self.limit).then(|| self.tag_at(pc).origin)
     }
 
-    /// Execution mark of the instruction at `pc`.
+    /// Tag of the instruction at `pc`; the default (application code, no
+    /// mark) outside the cache. Addresses below `base` wrap to slots past
+    /// the end, so one bounds check covers both sides (the region is a
+    /// whole number of words).
     #[inline]
-    pub fn mark_at(&self, pc: u32) -> Mark {
-        if pc >= self.base && pc < self.limit {
-            self.marks[((pc - self.base) / 4) as usize]
-        } else {
-            Mark::None
-        }
+    pub fn tag_at(&self, pc: u32) -> Tag {
+        self.tags
+            .get((pc.wrapping_sub(self.base) / 4) as usize)
+            .copied()
+            .unwrap_or_default()
     }
 
     /// Marks the instruction at `addr` (typically a dispatch entry).
     pub fn set_mark(&mut self, addr: u32, mark: Mark) {
         let slot = self.slot(addr);
-        self.marks[slot] = mark;
+        self.tags[slot].mark = mark;
     }
 
     /// Emits one instruction, returning its address.
@@ -116,7 +116,7 @@ impl Cache {
         let addr = self.cursor;
         mem.write_u32(addr, encode(&instr))?;
         let slot = self.slot(addr);
-        self.origins[slot] = origin;
+        self.tags[slot].origin = origin;
         self.cursor += 4;
         Ok(addr)
     }
@@ -167,7 +167,7 @@ impl Cache {
         mem.write_u32(addr, encode(&instr))?;
         if let Some(o) = origin {
             let slot = self.slot(addr);
-            self.origins[slot] = o;
+            self.tags[slot].origin = o;
         }
         Ok(())
     }
@@ -357,9 +357,14 @@ mod tests {
         let mut cache = Cache::new(0x100, 0x100);
         let a = cache.emit(&mut mem, Instr::Nop, Origin::Dispatch).unwrap();
         cache.set_mark(a, Mark::JumpEntry);
-        assert_eq!(cache.mark_at(a), Mark::JumpEntry);
-        assert_eq!(cache.mark_at(a + 4), Mark::None);
-        assert_eq!(cache.mark_at(0), Mark::None);
+        assert_eq!(cache.tag_at(a).mark, Mark::JumpEntry);
+        assert_eq!(cache.tag_at(a).origin, Origin::Dispatch);
+        assert_eq!(cache.tag_at(a + 4).mark, Mark::None);
+        // Outside the cache on either side: untagged application code.
+        for pc in [0, 0xFC, 0x200, u32::MAX] {
+            assert_eq!(cache.tag_at(pc), Tag::default());
+            assert_eq!(cache.origin_at(pc), None);
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@ use strata_arch::{ArchModel, ArchProfile};
 use strata_machine::syscall::{SyscallState, SDT_TRAP_BASE};
 use strata_machine::{
     layout, ExecutionObserver, Machine, MachineError, Program, RetireEvent, StepOutcome,
+    WatchMutation,
 };
 
 use crate::config::{BranchClass, IbtcPlacement, IbtcScope};
@@ -134,6 +135,10 @@ impl Sdt {
 
         let mut machine = Machine::new(layout::DEFAULT_MEM_BYTES);
         program.load(&mut machine)?;
+        // Translated fragments would go stale under self-modifying code:
+        // guest stores into application code stop the run at the store.
+        let app_code = program.code_base..program.code_end();
+        machine.mem_mut().set_watch(app_code.clone());
 
         let cache_bytes = match config.cache_limit {
             Some(bytes) => {
@@ -221,7 +226,7 @@ impl Sdt {
             state,
             syscalls: SyscallState::new(),
             entry: program.entry,
-            app_code: program.code_base..program.code_end(),
+            app_code,
         })
     }
 
@@ -233,6 +238,13 @@ impl Sdt {
     /// The underlying machine, for inspection.
     pub fn machine(&self) -> &Machine {
         &self.machine
+    }
+
+    /// Mutation-testing hook: corrupts the application-code watch range
+    /// that detects self-modifying code (see [`Machine::corrupt_watch`]).
+    #[doc(hidden)]
+    pub fn corrupt_smc_watch(&mut self, m: WatchMutation) -> bool {
+        self.machine.corrupt_watch(m)
     }
 
     /// Number of fragments currently in the cache.
@@ -361,46 +373,46 @@ impl Sdt {
             model.charge_translator(self.state.stats.translated_app_instrs - before, 1);
         self.machine.cpu_mut().pc = frag.entry;
 
-        let mut steps = 0u64;
-        let mut halted = false;
-        while steps < fuel {
-            let outcome = {
-                let mut obs = Attributing {
-                    model: &mut model,
-                    cache: &self.state.cache,
-                    buckets: &mut buckets,
-                    app_code: self.app_code.clone(),
-                };
-                self.machine.step(&mut obs)?
+        // Each `Machine::run` call goes up to the next trap, halt or fault.
+        // The observer counts every retire, so the fuel left is the budget
+        // minus its counts. A trap retired on the last unit of fuel is
+        // serviced before the next call reports the budget exhausted.
+        loop {
+            let left = fuel - buckets.instrs.iter().sum::<u64>();
+            let mut obs = Attributing {
+                model: &mut model,
+                cache: &self.state.cache,
+                buckets: &mut buckets,
             };
-            steps += 1;
-            if let Some((pc, addr)) = buckets.smc {
-                return Err(SdtError::SelfModifyingCode { pc, addr });
-            }
-            match outcome {
-                StepOutcome::Running => {}
-                StepOutcome::Halted => {
-                    halted = true;
-                    break;
-                }
-                StepOutcome::Trap(TRAP_MISS) => {
+            match self.machine.run(&mut obs, left) {
+                Ok(StepOutcome::Halted) => break,
+                Ok(StepOutcome::Trap(TRAP_MISS)) => {
                     let w = self.state.handle_trap_miss(&mut self.machine)?;
                     translator_cycles += model.charge_translator(w.new_instrs, w.lookups);
                 }
-                StepOutcome::Trap(TRAP_RC_MISS) => {
+                Ok(StepOutcome::Trap(TRAP_RC_MISS)) => {
                     let w = self.state.handle_trap_rc_miss(&mut self.machine)?;
                     translator_cycles += model.charge_translator(w.new_instrs, w.lookups);
                 }
-                StepOutcome::Trap(code) if code >= SDT_TRAP_BASE => {
+                Ok(StepOutcome::Trap(code)) if code >= SDT_TRAP_BASE => {
                     unreachable!("translator never emits unknown SDT traps ({code:#x})")
                 }
-                StepOutcome::Trap(code) => {
+                Ok(StepOutcome::Trap(code)) => {
                     self.syscalls.handle(code, &self.machine);
                 }
+                Ok(StepOutcome::Running) => unreachable!("Machine::run stops only at halt or trap"),
+                Err(MachineError::OutOfFuel { .. }) => {
+                    return Err(MachineError::OutOfFuel { steps: fuel }.into())
+                }
+                Err(MachineError::WatchedStore { pc, addr }) => {
+                    return Err(SdtError::SelfModifyingCode { pc, addr })
+                }
+                Err(
+                    e @ (MachineError::OutOfBounds { .. }
+                    | MachineError::UnalignedPc { .. }
+                    | MachineError::Decode { .. }),
+                ) => return Err(e.into()),
             }
-        }
-        if !halted {
-            return Err(MachineError::OutOfFuel { steps: fuel }.into());
         }
 
         let (sieve_mean_chain, sieve_max_chain) = self.state.sieve_chain_stats();
@@ -439,7 +451,7 @@ impl Sdt {
         Ok(RunReport {
             config: st.cfg.describe(),
             arch: model.profile().name,
-            halted,
+            halted: true,
             checksum: self.syscalls.checksum(),
             instructions: buckets.instrs.iter().sum(),
             total_cycles: model.total_cycles(),
@@ -482,9 +494,6 @@ struct Buckets {
     jump_dispatches: u64,
     call_dispatches: u64,
     ret_dispatches: u64,
-    /// First store into translated application code, if any:
-    /// `(cache pc, app code addr)`.
-    smc: Option<(u32, u32)>,
 }
 
 /// The observer wired into the machine while running under translation:
@@ -494,29 +503,21 @@ struct Attributing<'a> {
     model: &'a mut ArchModel,
     cache: &'a Cache,
     buckets: &'a mut Buckets,
-    app_code: std::ops::Range<u32>,
 }
 
 impl ExecutionObserver for Attributing<'_> {
     #[inline]
     fn on_retire(&mut self, ev: &RetireEvent) {
         let cycles = self.model.cost_of(ev);
-        let origin = self.cache.origin_at(ev.pc).unwrap_or(Origin::App);
-        let i = origin.index();
+        let tag = self.cache.tag_at(ev.pc);
+        let i = tag.origin.index();
         self.buckets.cycles[i] += cycles;
         self.buckets.instrs[i] += 1;
-        match self.cache.mark_at(ev.pc) {
+        match tag.mark {
             Mark::None => {}
             Mark::JumpEntry => self.buckets.jump_dispatches += 1,
             Mark::CallEntry => self.buckets.call_dispatches += 1,
             Mark::RetEntry => self.buckets.ret_dispatches += 1,
-        }
-        if self.buckets.smc.is_none() {
-            if let Some(mem) = ev.mem {
-                if mem.is_store && self.app_code.contains(&mem.addr) {
-                    self.buckets.smc = Some((ev.pc, mem.addr));
-                }
-            }
         }
     }
 }

@@ -4,8 +4,9 @@
 
 use strata_arch::ArchProfile;
 use strata_asm::assemble;
-use strata_core::{run_native, FlagsPolicy, RetMechanism, Sdt, SdtConfig};
-use strata_machine::{layout, Program};
+use strata_core::{run_native, FlagsPolicy, Origin, RetMechanism, Sdt, SdtConfig, SdtError};
+use strata_isa::{decode, encode, Instr, Reg};
+use strata_machine::{layout, MachineError, Program, WatchMutation};
 
 const FUEL: u64 = 2_000_000;
 
@@ -420,13 +421,9 @@ fn warm_cache_second_run_is_cheaper() {
     assert!(sdt.cache_used_bytes() > 0);
 }
 
-#[test]
-fn self_modifying_code_is_detected_not_miscompiled() {
-    // The program patches an upcoming instruction. Natively the machine
-    // honors it (its decode cache invalidates on stores); under the SDT
-    // the already-translated fragment would go stale, so the run must be
-    // refused with a precise error instead of silently diverging.
-    let prog = program(
+/// A program that patches an upcoming, already translated instruction.
+fn patching_program() -> Program {
+    program(
         "smc",
         &format!(
             r"
@@ -439,23 +436,185 @@ fn self_modifying_code_is_detected_not_miscompiled() {
         trap 0x1
         halt
         ",
-            replacement = strata_isa::encode(&strata_isa::Instr::Addi {
-                rd: strata_isa::Reg::R4,
-                rs1: strata_isa::Reg::R4,
+            replacement = encode(&Instr::Addi {
+                rd: Reg::R4,
+                rs1: Reg::R4,
                 imm: 7
             }),
         ),
-    );
+    )
+}
+
+/// The check of `self_modifying_code_is_detected_not_miscompiled`.
+fn smc_is_refused(sdt: &mut Sdt) -> Result<(), String> {
+    match sdt.run(ArchProfile::x86_like(), FUEL) {
+        Err(SdtError::SelfModifyingCode { addr, .. }) if addr >= layout::APP_BASE => Ok(()),
+        other => Err(format!("expected SelfModifyingCode, got {other:?}")),
+    }
+}
+
+#[test]
+fn self_modifying_code_is_detected_not_miscompiled() {
+    // The program patches an upcoming instruction. Natively the machine
+    // honors it (its decode cache invalidates on stores); under the SDT
+    // the already-translated fragment would go stale, so the run must be
+    // refused with a precise error instead of silently diverging.
+    let prog = patching_program();
     let native = run_native(&prog, ArchProfile::x86_like(), FUEL).unwrap();
     assert_eq!(native.regs[4], 7, "native run honors the patch");
 
     let mut sdt = Sdt::new(SdtConfig::ibtc_inline(64), &prog).unwrap();
-    match sdt.run(ArchProfile::x86_like(), FUEL) {
-        Err(strata_core::SdtError::SelfModifyingCode { addr, .. }) => {
-            assert!(addr >= layout::APP_BASE);
+    smc_is_refused(&mut sdt).unwrap();
+}
+
+/// Stores into the last word of its own code, then changes `r4` and
+/// spins without ever trapping: only a stop at the store itself reports
+/// the store with `r4` intact.
+fn store_then_spin_program() -> Program {
+    program(
+        "smc-spin",
+        r"
+        li r4, 0x11
+        li r1, 0xFFFFFFFF
+        li r2, last
+        sw r1, 0(r2)
+        li r4, 0x55
+    spin:
+        jmp spin
+    last:
+        halt
+        ",
+    )
+}
+
+/// The check of `self_modifying_code_stops_at_the_store`.
+fn smc_stops_at_the_store(sdt: &mut Sdt) -> Result<(), String> {
+    let last = layout::APP_BASE + 4 * 10;
+    let pc = match sdt.run(ArchProfile::x86_like(), 10_000) {
+        Err(SdtError::SelfModifyingCode { pc, addr }) if addr == last => pc,
+        other => {
+            return Err(format!(
+                "expected SelfModifyingCode at {last:#x}, got {other:?}"
+            ))
         }
-        other => panic!("expected SelfModifyingCode, got {other:?}"),
+    };
+    let m = sdt.machine();
+    let word = m.mem().read_u32(pc).map_err(|e| e.to_string())?;
+    let store = Instr::Sw {
+        rs2: Reg::R1,
+        rs1: Reg::R2,
+        off: 0,
+    };
+    if decode(word) != Ok(store) || sdt.origin_at(pc) != Some(Origin::App) {
+        return Err(format!("{pc:#x} is not the translated store"));
     }
+    if m.cpu().pc != pc {
+        return Err(format!(
+            "stopped at {:#x}, not at the store {pc:#x}",
+            m.cpu().pc
+        ));
+    }
+    match m.cpu().reg(Reg::R4) {
+        0x11 => Ok(()),
+        r4 => Err(format!(
+            "r4 = {r4:#x}: an instruction after the store retired"
+        )),
+    }
+}
+
+#[test]
+fn self_modifying_code_stops_at_the_store() {
+    let mut sdt = Sdt::new(SdtConfig::ibtc_inline(64), &store_then_spin_program()).unwrap();
+    smc_stops_at_the_store(&mut sdt).unwrap();
+}
+
+#[test]
+fn smc_watch_mutations_are_caught() {
+    // Mutation test for the watch range: each injected defect must fail
+    // at least one of the two SMC checks above.
+    for m in [WatchMutation::DropLastWord, WatchMutation::Disable] {
+        let mut sdt = Sdt::new(SdtConfig::ibtc_inline(64), &store_then_spin_program()).unwrap();
+        assert!(sdt.corrupt_smc_watch(m));
+        assert!(
+            smc_stops_at_the_store(&mut sdt).is_err(),
+            "{m:?} escaped the exact-stop check"
+        );
+    }
+    let mut sdt = Sdt::new(SdtConfig::ibtc_inline(64), &patching_program()).unwrap();
+    assert!(sdt.corrupt_smc_watch(WatchMutation::Disable));
+    assert!(
+        smc_is_refused(&mut sdt).is_err(),
+        "a disabled watch escaped the detection check"
+    );
+}
+
+/// Twenty indirect calls, then one checksum trap right before `halt`.
+fn counted_calls_program() -> Program {
+    program(
+        "fuel",
+        r"
+        li r5, 20
+        li r8, f
+    top:
+        callr r8
+        addi r5, r5, -1
+        cmpi r5, 0
+        bne top
+        trap 0x1
+        halt
+    f:
+        addi r4, r4, 1
+        ret
+        ",
+    )
+}
+
+#[test]
+fn fuel_budget_is_exact() {
+    let prog = counted_calls_program();
+    let cfg = SdtConfig::ibtc_inline(64);
+    let full = Sdt::new(cfg, &prog)
+        .unwrap()
+        .run(ArchProfile::x86_like(), FUEL)
+        .unwrap();
+    let n = full.instructions;
+
+    // (a) Fuel equal to the retired count halts with the same numbers.
+    let exact = Sdt::new(cfg, &prog)
+        .unwrap()
+        .run(ArchProfile::x86_like(), n)
+        .unwrap();
+    assert!(exact.halted);
+    assert_eq!(
+        (exact.instructions, exact.total_cycles, exact.checksum),
+        (n, full.total_cycles, full.checksum)
+    );
+
+    // (b) One unit less runs out, reporting the budget.
+    let out_of_fuel = |fuel| {
+        let mut sdt = Sdt::new(cfg, &prog).unwrap();
+        match sdt.run(ArchProfile::x86_like(), fuel) {
+            Err(SdtError::Machine(MachineError::OutOfFuel { steps })) => assert_eq!(steps, fuel),
+            other => panic!("fuel {fuel}: expected OutOfFuel, got {other:?}"),
+        }
+        // A second run restarts at the entry and folds r4 = 40; the
+        // checksum shows whether the first run serviced its trap.
+        sdt.run(ArchProfile::x86_like(), FUEL).unwrap().checksum
+    };
+    let unserviced = out_of_fuel(n - 2);
+
+    // (c) The checksum trap retires on the last unit of fuel n - 1: it is
+    // serviced, and only then does the run report out of fuel.
+    let mut twice = Sdt::new(cfg, &prog).unwrap();
+    twice.run(ArchProfile::x86_like(), FUEL).unwrap();
+    let serviced = twice.run(ArchProfile::x86_like(), FUEL).unwrap().checksum;
+    assert_ne!(serviced, unserviced, "the two outcomes must differ");
+    assert_eq!(
+        out_of_fuel(n - 1),
+        serviced,
+        "trap on the last unit of fuel"
+    );
+    out_of_fuel(0);
 }
 
 #[test]

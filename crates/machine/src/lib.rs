@@ -15,7 +15,9 @@
 //!   registered executable region drop the affected page entry, and stores
 //!   anywhere else skip invalidation entirely via a single range compare.
 //!   Stores to code are still picked up immediately, which is what makes
-//!   runtime code generation by the SDT safe.
+//!   runtime code generation by the SDT safe. One store watch range lets
+//!   an embedder stop guest stores into a region (the SDT watches
+//!   application code to refuse self-modifying code at the store).
 //! * [`Cpu`] — 16 registers, `pc`, and the flags word.
 //! * [`Machine`] — fetch/decode/execute stepping with [`StepOutcome`]s; traps
 //!   suspend the machine and hand control to the embedder.
@@ -55,7 +57,7 @@ pub use cpu::Cpu;
 pub use event::{
     ControlEvent, ExecutionObserver, InstrCounter, MemAccess, NullObserver, RetireEvent,
 };
-pub use machine::{Machine, MachineError, StepOutcome};
+pub use machine::{Machine, MachineError, StepOutcome, WatchMutation};
 pub use memory::Memory;
 pub use program::Program;
 pub use tier::{

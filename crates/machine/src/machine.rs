@@ -17,6 +17,10 @@ pub enum MachineError {
     Decode { pc: u32, source: DecodeError },
     /// [`Machine::run`] exhausted its step budget.
     OutOfFuel { steps: u64 },
+    /// The store at `pc` overlapped the [`Memory`] watch range at `addr`.
+    /// It was refused before writing anything, and `pc` still points at
+    /// it.
+    WatchedStore { pc: u32, addr: u32 },
 }
 
 impl fmt::Display for MachineError {
@@ -33,6 +37,9 @@ impl fmt::Display for MachineError {
             MachineError::OutOfFuel { steps } => {
                 write!(f, "execution exceeded the step budget of {steps}")
             }
+            MachineError::WatchedStore { pc, addr } => {
+                write!(f, "store at pc {pc:#x} hit the watched address {addr:#x}")
+            }
         }
     }
 }
@@ -41,7 +48,10 @@ impl std::error::Error for MachineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             MachineError::Decode { source, .. } => Some(source),
-            _ => None,
+            MachineError::OutOfBounds { .. }
+            | MachineError::UnalignedPc { .. }
+            | MachineError::OutOfFuel { .. }
+            | MachineError::WatchedStore { .. } => None,
         }
     }
 }
@@ -57,6 +67,17 @@ pub enum StepOutcome {
     Trap(u16),
     /// A `halt` instruction retired.
     Halted,
+}
+
+/// A defect [`Machine::corrupt_watch`] injects into the store watch
+/// range, for mutation-testing the exact self-modifying-code stop.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WatchMutation {
+    /// The range loses its last word.
+    DropLastWord,
+    /// The range becomes empty.
+    Disable,
 }
 
 /// The simulated SimRISC machine: CPU state plus memory.
@@ -137,6 +158,21 @@ impl Machine {
             .is_some_and(|tier| tier.corrupt_lowered(m))
     }
 
+    /// Mutation-testing hook: corrupts the memory watch range with
+    /// defect `m`. Returns `false` when nothing is watched.
+    #[doc(hidden)]
+    pub fn corrupt_watch(&mut self, m: WatchMutation) -> bool {
+        let w = self.mem.watch();
+        if w.is_empty() {
+            return false;
+        }
+        self.mem.set_watch(match m {
+            WatchMutation::DropLastWord => w.start..w.end.saturating_sub(4),
+            WatchMutation::Disable => 0..0,
+        });
+        true
+    }
+
     /// Shared view of CPU state.
     pub fn cpu(&self) -> &Cpu {
         &self.cpu
@@ -188,8 +224,10 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Propagates execution errors and returns [`MachineError::OutOfFuel`]
-    /// if the budget is exhausted before `halt`/`trap`.
+    /// Propagates execution errors (a store into the memory watch range
+    /// is [`MachineError::WatchedStore`]) and returns
+    /// [`MachineError::OutOfFuel`] if the budget is exhausted before
+    /// `halt`/`trap`.
     pub fn run<O: ExecutionObserver>(
         &mut self,
         observer: &mut O,
@@ -278,10 +316,12 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns fetch/decode errors and out-of-bounds memory accesses. CPU
-    /// state is unchanged when an error is returned mid-instruction except
-    /// that no partial writes are observable (each instruction performs at
-    /// most one memory write, attempted before register state is updated).
+    /// Returns fetch/decode errors, out-of-bounds memory accesses and
+    /// [`MachineError::WatchedStore`] for stores overlapping the memory
+    /// watch range. CPU state is unchanged when an error is returned
+    /// mid-instruction except that no partial writes are observable (each
+    /// instruction performs at most one memory write, attempted before
+    /// register state is updated).
     pub fn step<O: ExecutionObserver>(
         &mut self,
         observer: &mut O,
@@ -335,7 +375,7 @@ impl Machine {
                     len: 4,
                     is_store: true,
                 });
-                mem.write_u32(a, $val)?
+                mem.guest_write_u32(pc, a, $val)?
             }};
         }
 
@@ -413,7 +453,7 @@ impl Machine {
                     len: 1,
                     is_store: true,
                 });
-                mem.write_u8(a, cpu.reg(rs2) as u8)?;
+                mem.guest_write_u8(pc, a, cpu.reg(rs2) as u8)?;
             }
             Lwa { rd, addr } => {
                 let v = load_w!(addr);
@@ -533,7 +573,7 @@ fn branch(cond: bool, off: i16, pc: u32, new_pc: &mut u32, control: &mut Control
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NullObserver;
+    use crate::{NullObserver, TierConfig};
     use strata_asm::assemble;
     use strata_isa::Reg;
 
@@ -740,6 +780,59 @@ mod tests {
         assert_eq!(w.indirect_taken, 1);
         assert_eq!(w.cond_total, 3);
         assert_eq!(w.stores, 1);
+    }
+
+    #[test]
+    fn watched_store_stops_both_tiers_at_the_store() {
+        // A hot loop of stores walks upward into the watched word; the
+        // threaded tier (threshold 1) runs the loop from a superblock.
+        // Both tiers must refuse the same store, leave it unexecuted with
+        // `pc` on it, and agree on every retired event and register.
+        let src = r"
+            li r1, 0x2000
+            li r2, 0
+        top:
+            sw r2, 0(r1)
+            addi r1, r1, 4
+            addi r2, r2, 1
+            jmp top
+        ";
+        let outcomes: Vec<_> = [
+            ExecTier::Interp,
+            ExecTier::Threaded(TierConfig {
+                threshold: 1,
+                ..TierConfig::default()
+            }),
+        ]
+        .into_iter()
+        .map(|tier| {
+            let mut m = machine_with(src);
+            m.set_tier(tier);
+            m.mem_mut().set_watch(0x2040..0x2044);
+            let mut retired = crate::InstrCounter::default();
+            let err = m.run(&mut retired, 10_000).unwrap_err();
+            (
+                err,
+                m.cpu().clone(),
+                retired.retired(),
+                m.mem().read_u32(0x2040).unwrap(),
+            )
+        })
+        .collect();
+        let (err, cpu, count, word) = &outcomes[0];
+        let store_pc = 0x100 + 4 * 4; // `li` is two words each
+        assert_eq!(
+            *err,
+            MachineError::WatchedStore {
+                pc: store_pc,
+                addr: 0x2040
+            }
+        );
+        assert_eq!(cpu.pc, store_pc, "pc stays on the refused store");
+        assert_eq!(cpu.reg(Reg::R2), 16, "16 stores retired before it");
+        assert_eq!(*word, 0, "the refused store wrote nothing");
+        assert_eq!(*count, 4 + 16 * 4);
+        assert_eq!(outcomes[0], outcomes[1], "interp and threaded agree");
     }
 
     #[test]

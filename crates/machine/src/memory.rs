@@ -36,6 +36,13 @@ type CodePage = [Option<Instr>; PAGE_WORDS];
 /// runtime code generation (the SDT writing fragments, patching links,
 /// appending sieve stanzas) is picked up immediately — the moral
 /// equivalent of an instruction-cache flush after code modification.
+///
+/// Memory also holds one *watch range* ([`Memory::set_watch`]), empty by
+/// default. Guest stores executed by [`Machine`](crate::Machine) that
+/// overlap it are refused with [`MachineError::WatchedStore`] before they
+/// write anything; host-side writes (`write_u32` and friends) ignore it.
+/// The SDT watches application code, which turns self-modifying code into
+/// an exact stop at the offending store.
 #[derive(Debug)]
 pub struct Memory {
     bytes: Vec<u8>,
@@ -53,6 +60,11 @@ pub struct Memory {
     /// mismatch — a cross-structure "icache flush" signal that costs
     /// nothing on the overwhelming store-misses-code path.
     code_version: u64,
+    /// Inclusive lower byte bound of the store watch range.
+    watch_lo: u32,
+    /// Exclusive upper byte bound of the store watch range (`watch_lo ==
+    /// watch_hi` when nothing is watched).
+    watch_hi: u32,
 }
 
 impl Memory {
@@ -67,6 +79,8 @@ impl Memory {
             code_lo: u32::MAX,
             code_hi: 0,
             code_version: 0,
+            watch_lo: 0,
+            watch_hi: 0,
         }
     }
 
@@ -81,6 +95,59 @@ impl Memory {
     #[inline]
     pub fn code_version(&self) -> u64 {
         self.code_version
+    }
+
+    /// Sets the store watch range (replacing any previous one); an empty
+    /// range disables watching.
+    pub fn set_watch(&mut self, range: std::ops::Range<u32>) {
+        (self.watch_lo, self.watch_hi) = if range.is_empty() {
+            (0, 0)
+        } else {
+            (range.start, range.end)
+        };
+    }
+
+    /// The store watch range (empty when nothing is watched).
+    pub fn watch(&self) -> std::ops::Range<u32> {
+        self.watch_lo..self.watch_hi
+    }
+
+    /// Refuses a guest store of `len` bytes at `addr` (issued by the
+    /// instruction at `pc`) that overlaps the watch range. One range
+    /// compare; stores outside the range do no other work.
+    #[inline(always)]
+    fn check_watch(&self, pc: u32, addr: u32, len: u32) -> Result<(), MachineError> {
+        if addr < self.watch_hi && addr as u64 + len as u64 > self.watch_lo as u64 {
+            Err(MachineError::WatchedStore { pc, addr })
+        } else {
+            Ok(())
+        }
+    }
+
+    /// A guest word store by the instruction at `pc`: refused with no
+    /// effect when it overlaps the watch range, otherwise
+    /// [`Memory::write_u32`].
+    #[inline]
+    pub(crate) fn guest_write_u32(
+        &mut self,
+        pc: u32,
+        addr: u32,
+        value: u32,
+    ) -> Result<(), MachineError> {
+        self.check_watch(pc, addr, 4)?;
+        self.write_u32(addr, value)
+    }
+
+    /// The byte-store counterpart of [`Memory::guest_write_u32`].
+    #[inline]
+    pub(crate) fn guest_write_u8(
+        &mut self,
+        pc: u32,
+        addr: u32,
+        value: u8,
+    ) -> Result<(), MachineError> {
+        self.check_watch(pc, addr, 1)?;
+        self.write_u8(addr, value)
     }
 
     #[inline]
@@ -258,7 +325,11 @@ impl Memory {
     /// Store-side invalidation gate: one range compare against the union
     /// of allocated code pages. Decoded slots can only exist inside
     /// `[code_lo, code_hi)`, so stores outside it — the overwhelming
-    /// majority — skip the word walk entirely.
+    /// majority — skip the word walk entirely. The union can span
+    /// unallocated pages and undecoded words (under the SDT, application
+    /// data lies between application code and the fragment cache), so
+    /// the walk bumps [`Memory::code_version`] only when it actually
+    /// clears a decoded word.
     #[inline]
     fn maybe_invalidate(&mut self, addr: u32, len: u32) {
         if addr < self.code_hi && addr.wrapping_add(len) > self.code_lo {
@@ -272,13 +343,16 @@ impl Memory {
             // last-word computation below underflows for `addr == 0`.
             return;
         }
-        self.code_version += 1;
         let first = addr >> 2;
         let last = (addr + len - 1) >> 2;
+        let mut cleared = false;
         for word in first..=last {
             if let Some(Some(page)) = self.pages.get_mut((word >> (PAGE_SHIFT - 2)) as usize) {
-                page[(word as usize) & (PAGE_WORDS - 1)] = None;
+                cleared |= page[(word as usize) & (PAGE_WORDS - 1)].take().is_some();
             }
+        }
+        if cleared {
+            self.code_version += 1;
         }
     }
 }
@@ -555,5 +629,70 @@ mod tests {
             Instr::Nop,
             "post-fetch stores invalidate"
         );
+    }
+
+    #[test]
+    fn stores_between_code_regions_keep_the_version() {
+        // Two registered regions with an unallocated page between them:
+        // the [code_lo, code_hi) union covers the gap, but a store there
+        // (or into an undecoded word of a code page) clears nothing and
+        // must not bump the generation.
+        let mut m = Memory::new(4 * 4096);
+        m.write_u32(0, encode(&Instr::Nop)).unwrap();
+        m.write_u32(3 * 4096, encode(&Instr::Nop)).unwrap();
+        m.register_code_region(0, 4);
+        m.register_code_region(3 * 4096, 4);
+        let v0 = m.code_version();
+        m.write_u32(4096 + 64, 0xDEAD_BEEF).unwrap();
+        m.write_bytes(2 * 4096 - 2, &[1, 2, 3, 4]).unwrap();
+        assert_eq!(m.code_version(), v0, "gap stores clear no decoded word");
+        m.write_u32(8, 0x1234_5678).unwrap();
+        assert_eq!(m.code_version(), v0, "undecoded word in a code page");
+        assert_eq!(m.fetch_predecoded(0), Some(Instr::Nop));
+        assert_eq!(m.fetch_predecoded(3 * 4096), Some(Instr::Nop));
+        // Clearing a decoded word still bumps it.
+        m.write_u32(3 * 4096, encode(&Instr::Halt)).unwrap();
+        assert!(m.code_version() > v0);
+    }
+
+    #[test]
+    fn watch_refuses_overlapping_guest_stores_only() {
+        let mut m = Memory::new(0x100);
+        assert!(m.watch().is_empty(), "nothing is watched by default");
+        m.guest_write_u32(0, 0x40, 7).unwrap();
+        m.set_watch(0x40..0x48);
+        let refused = |m: &mut Memory, addr: u32, len: u32| {
+            let before = m.read_bytes(0, 0x100).unwrap().to_vec();
+            let r = if len == 4 {
+                m.guest_write_u32(0x10, addr, 0xFFFF_FFFF)
+            } else {
+                m.guest_write_u8(0x10, addr, 0xFF)
+            };
+            match r {
+                Err(MachineError::WatchedStore { pc: 0x10, addr: a }) => {
+                    assert_eq!(a, addr);
+                    assert_eq!(m.read_bytes(0, 0x100).unwrap(), &before[..], "no effect");
+                    true
+                }
+                Ok(()) => false,
+                Err(e) => panic!("unexpected {e}"),
+            }
+        };
+        // Overlap at either edge, including straddling stores.
+        assert!(refused(&mut m, 0x40, 4));
+        assert!(refused(&mut m, 0x44, 4));
+        assert!(refused(&mut m, 0x47, 1));
+        assert!(refused(&mut m, 0x3D, 4));
+        assert!(refused(&mut m, 0x47, 4));
+        // Just outside on both sides.
+        assert!(!refused(&mut m, 0x3C, 4));
+        assert!(!refused(&mut m, 0x3F, 1));
+        assert!(!refused(&mut m, 0x48, 4));
+        // Host-side writes ignore the watch.
+        m.write_u32(0x40, 9).unwrap();
+        assert_eq!(m.read_u32(0x40).unwrap(), 9);
+        m.set_watch(0x40..0x40);
+        assert!(m.watch().is_empty());
+        assert!(!refused(&mut m, 0x40, 4));
     }
 }

@@ -1355,7 +1355,7 @@ fn run_ops<O: ExecutionObserver>(
             }
             Op::Sw { rs2, rs1, off } => {
                 let a = cpu.reg(rs1).wrapping_add(off);
-                try_op!(mem.write_u32(a, cpu.reg(rs2)));
+                try_op!(mem.guest_write_u32(pc!(), a, cpu.reg(rs2)));
                 retire_store!(a);
             }
             Op::Lb { rd, rs1, off } => {
@@ -1372,7 +1372,7 @@ fn run_ops<O: ExecutionObserver>(
             }
             Op::Sb { rs2, rs1, off } => {
                 let a = cpu.reg(rs1).wrapping_add(off);
-                try_op!(mem.write_u8(a, cpu.reg(rs2) as u8));
+                try_op!(mem.guest_write_u8(pc!(), a, cpu.reg(rs2) as u8));
                 retire_store!(a);
             }
             Op::Lwa { rd, addr } => {
@@ -1381,13 +1381,13 @@ fn run_ops<O: ExecutionObserver>(
                 retire!();
             }
             Op::Swa { rs, addr } => {
-                try_op!(mem.write_u32(addr, cpu.reg(rs)));
+                try_op!(mem.guest_write_u32(pc!(), addr, cpu.reg(rs)));
                 retire_store!(addr);
             }
             Op::Push { rs } => {
                 let val = cpu.reg(rs);
                 let sp = cpu.sp().wrapping_sub(4);
-                try_op!(mem.write_u32(sp, val));
+                try_op!(mem.guest_write_u32(pc!(), sp, val));
                 cpu.set_sp(sp);
                 retire_store!(sp);
             }
@@ -1400,7 +1400,7 @@ fn run_ops<O: ExecutionObserver>(
             }
             Op::Pushf => {
                 let sp = cpu.sp().wrapping_sub(4);
-                try_op!(mem.write_u32(sp, cpu.flags.to_bits()));
+                try_op!(mem.guest_write_u32(pc!(), sp, cpu.flags.to_bits()));
                 cpu.set_sp(sp);
                 retire_store!(sp);
             }
@@ -1481,7 +1481,7 @@ fn run_ops<O: ExecutionObserver>(
             }
             Op::CallD { target, ret } => {
                 let sp = cpu.sp().wrapping_sub(4);
-                try_op!(mem.write_u32(sp, ret));
+                try_op!(mem.guest_write_u32(pc!(), sp, ret));
                 cpu.set_sp(sp);
                 let mut ev = t.ev;
                 ev.mem = Some(MemAccess {
@@ -1512,7 +1512,7 @@ fn run_ops<O: ExecutionObserver>(
             Op::Callr { rs, ret } => {
                 let target = cpu.reg(rs);
                 let sp = cpu.sp().wrapping_sub(4);
-                try_op!(mem.write_u32(sp, ret));
+                try_op!(mem.guest_write_u32(pc!(), sp, ret));
                 cpu.set_sp(sp);
                 let mut ev = t.ev;
                 ev.mem = Some(MemAccess {

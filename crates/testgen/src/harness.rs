@@ -227,7 +227,8 @@ pub fn run_lockstep(
             Ok(StepOutcome::Halted)
             | Err(MachineError::OutOfBounds { .. })
             | Err(MachineError::UnalignedPc { .. })
-            | Err(MachineError::Decode { .. }) => break,
+            | Err(MachineError::Decode { .. })
+            | Err(MachineError::WatchedStore { .. }) => break,
             Ok(StepOutcome::Running)
             | Ok(StepOutcome::Trap(_))
             | Err(MachineError::OutOfFuel { .. }) => {}
