@@ -144,7 +144,8 @@ pub fn validate_machine_tier(machine: &Machine) -> TierReport {
     })
 }
 
-/// Runs `program` to completion natively under `tier` (no SDT in the
+/// Runs `program` to completion natively under `tier` through
+/// [`strata_core::run_native_observed`] with no cost model (no SDT in the
 /// loop — this is the reference execution path), then validates every
 /// superblock the tier translated along the way. This is the whole-
 /// workload entry point `strata verify --validate-tiers` and the
@@ -153,37 +154,22 @@ pub fn validate_machine_tier(machine: &Machine) -> TierReport {
 ///
 /// # Errors
 ///
-/// Returns the machine's own error string when the program faults or
-/// raises a reserved trap — validation needs a completed run.
+/// Returns the native run's error as a string when the program faults,
+/// runs out of fuel or raises a reserved trap — validation needs a
+/// completed run.
 pub fn validate_program_tier(
     program: &strata_machine::Program,
     tier: strata_machine::ExecTier,
     fuel: u64,
 ) -> Result<TierReport, String> {
-    use strata_machine::syscall::{SyscallState, SDT_TRAP_BASE};
-    use strata_machine::{layout, InstrCounter, StepOutcome};
-
-    let mut machine = Machine::new(layout::DEFAULT_MEM_BYTES);
-    program.load(&mut machine).map_err(|e| e.to_string())?;
-    machine.set_tier(tier);
-    let mut syscalls = SyscallState::new();
-    let mut counter = InstrCounter::default();
-    loop {
-        let budget = fuel.saturating_sub(counter.retired());
-        match machine
-            .run(&mut counter, budget)
-            .map_err(|e| e.to_string())?
-        {
-            StepOutcome::Halted => break,
-            StepOutcome::Trap(code) if code < SDT_TRAP_BASE => {
-                syscalls.handle(code, &machine);
-            }
-            StepOutcome::Trap(code) => {
-                return Err(format!("reserved trap {code:#x} during native run"));
-            }
-            StepOutcome::Running => return Err("fuel exhausted before halt".into()),
-        }
-    }
+    let (_, machine) = strata_core::run_native_observed(
+        program,
+        &[],
+        fuel,
+        tier,
+        &mut strata_machine::NullObserver,
+    )
+    .map_err(|e| e.to_string())?;
     Ok(validate_machine_tier(&machine))
 }
 

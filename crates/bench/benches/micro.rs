@@ -2,7 +2,7 @@
 //! assembler, interpreter stepping throughput, cache and predictor
 //! simulation, translation, and an end-to-end translated run. These
 //! quantify the *simulator's* host-side cost, complementing the
-//! guest-cycle experiments in `src/bin/`.
+//! guest-cycle experiments `strata bench` runs.
 //!
 //! Criterion is not available in the offline build environment, so this is
 //! a self-contained `harness = false` benchmark: each workload is timed

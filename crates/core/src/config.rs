@@ -472,7 +472,7 @@ impl SdtConfig {
     }
 
     /// A short, stable description such as `ibtc(4096,shared,inline)+rc(512)`,
-    /// used as a row label by the experiment binaries. Non-default class
+    /// used as a row label by the experiments. Non-default class
     /// policies append `+jump=…`/`+call=…`; the all-inherit default appends
     /// nothing, so legacy configurations keep their historical labels (and
     /// their memoization/baseline keys).

@@ -5,7 +5,8 @@ use strata_arch::{ArchModel, ArchProfile};
 use strata_isa::{ControlKind, Reg};
 use strata_machine::syscall::{SyscallState, SDT_TRAP_BASE};
 use strata_machine::{
-    layout, ExecTier, ExecutionObserver, Machine, Program, RetireEvent, StepOutcome,
+    layout, ExecTier, ExecutionObserver, Machine, MachineError, NullObserver, Program, RetireEvent,
+    StepOutcome,
 };
 
 use crate::SdtError;
@@ -45,8 +46,13 @@ impl NativeRun {
     }
 }
 
-struct NativeObserver {
-    model: ArchModel,
+/// The native run's observer: costs every retire under each profile's
+/// model, counts retires and branch classes, and forwards each event to
+/// one caller-supplied observer.
+struct NativeObserver<'a, O> {
+    models: Vec<ArchModel>,
+    extra: &'a mut O,
+    retired: u64,
     indirect_jumps: u64,
     indirect_calls: u64,
     returns: u64,
@@ -54,10 +60,14 @@ struct NativeObserver {
     cond_branches: u64,
 }
 
-impl ExecutionObserver for NativeObserver {
+impl<O: ExecutionObserver> ExecutionObserver for NativeObserver<'_, O> {
     #[inline]
     fn on_retire(&mut self, ev: &RetireEvent) {
-        self.model.cost_of(ev);
+        self.retired += 1;
+        for model in &mut self.models {
+            model.cost_of(ev);
+        }
+        self.extra.on_retire(ev);
         match ev.control.kind {
             ControlKind::Indirect => self.indirect_jumps += 1,
             ControlKind::Call if ev.control.indirect => self.indirect_calls += 1,
@@ -103,12 +113,40 @@ pub fn run_native_tiered(
     fuel: u64,
     tier: ExecTier,
 ) -> Result<NativeRun, SdtError> {
+    let (mut runs, _) = run_native_observed(program, &[profile], fuel, tier, &mut NullObserver)?;
+    Ok(runs.remove(0))
+}
+
+/// The one native run-to-halt loop: loads `program` on a fresh machine
+/// with `tier` installed, services its syscalls, and runs it to `halt`
+/// within `fuel` retired instructions. The guest runs once however many
+/// `profiles` are costed; every retire also reaches `extra`.
+///
+/// Returns one [`NativeRun`] per profile, in order (none for an empty
+/// slice), and the final machine, whose tier state the translation
+/// validator inspects.
+///
+/// # Errors
+///
+/// [`SdtError::ReservedTrap`] if the program uses an SDT-reserved trap
+/// code; machine faults as [`SdtError::Machine`]. Running out of fuel
+/// reports the requested budget, `OutOfFuel { steps: fuel }`, however
+/// many traps were serviced before.
+pub fn run_native_observed<O: ExecutionObserver>(
+    program: &Program,
+    profiles: &[ArchProfile],
+    fuel: u64,
+    tier: ExecTier,
+    extra: &mut O,
+) -> Result<(Vec<NativeRun>, Machine), SdtError> {
     let mut machine = Machine::new(layout::DEFAULT_MEM_BYTES);
     program.load(&mut machine)?;
     machine.set_tier(tier);
     let mut syscalls = SyscallState::new();
     let mut obs = NativeObserver {
-        model: ArchModel::new(profile),
+        models: profiles.iter().cloned().map(ArchModel::new).collect(),
+        extra,
+        retired: 0,
         indirect_jumps: 0,
         indirect_calls: 0,
         returns: 0,
@@ -116,36 +154,45 @@ pub fn run_native_tiered(
         cond_branches: 0,
     };
 
-    let mut used = 0u64;
     loop {
-        let before = obs.model.stats().instructions;
-        match machine.run(&mut obs, fuel.saturating_sub(used))? {
-            StepOutcome::Halted => break,
-            StepOutcome::Trap(code) => {
-                if code >= SDT_TRAP_BASE {
-                    return Err(SdtError::ReservedTrap {
-                        code,
-                        pc: machine.cpu().pc.wrapping_sub(4),
-                    });
-                }
+        let left = fuel - obs.retired;
+        match machine.run(&mut obs, left) {
+            Ok(StepOutcome::Halted) => break,
+            Ok(StepOutcome::Trap(code)) if code < SDT_TRAP_BASE => {
                 syscalls.handle(code, &machine);
             }
-            StepOutcome::Running => unreachable!("run returns only on halt/trap/error"),
+            Ok(StepOutcome::Trap(code)) => {
+                return Err(SdtError::ReservedTrap {
+                    code,
+                    pc: machine.cpu().pc.wrapping_sub(4),
+                })
+            }
+            Ok(StepOutcome::Running) => unreachable!("run returns only on halt/trap/error"),
+            Err(MachineError::OutOfFuel { .. }) => {
+                return Err(MachineError::OutOfFuel { steps: fuel }.into())
+            }
+            Err(e) => return Err(e.into()),
         }
-        used += obs.model.stats().instructions - before;
     }
 
-    Ok(NativeRun {
-        checksum: syscalls.checksum(),
-        total_cycles: obs.model.total_cycles(),
-        instructions: obs.model.stats().instructions,
-        indirect_jumps: obs.indirect_jumps,
-        indirect_calls: obs.indirect_calls,
-        returns: obs.returns,
-        direct_calls: obs.direct_calls,
-        cond_branches: obs.cond_branches,
-        icache_misses: obs.model.icache().misses(),
-        dcache_misses: obs.model.dcache().misses(),
-        regs: *machine.cpu().regs(),
-    })
+    let checksum = syscalls.checksum();
+    let regs = *machine.cpu().regs();
+    let runs = obs
+        .models
+        .iter()
+        .map(|model| NativeRun {
+            checksum,
+            total_cycles: model.total_cycles(),
+            instructions: obs.retired,
+            indirect_jumps: obs.indirect_jumps,
+            indirect_calls: obs.indirect_calls,
+            returns: obs.returns,
+            direct_calls: obs.direct_calls,
+            cond_branches: obs.cond_branches,
+            icache_misses: model.icache().misses(),
+            dcache_misses: model.dcache().misses(),
+            regs,
+        })
+        .collect();
+    Ok((runs, machine))
 }

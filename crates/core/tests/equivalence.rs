@@ -615,6 +615,16 @@ fn fuel_budget_is_exact() {
         "trap on the last unit of fuel"
     );
     out_of_fuel(0);
+
+    // (d) Natively, a run that services its trap on the second-to-last
+    // unit and then runs out reports the requested budget, not the fuel
+    // left after the trap.
+    let native = run_native(&prog, ArchProfile::x86_like(), FUEL).unwrap();
+    let fuel = native.instructions - 1;
+    match run_native(&prog, ArchProfile::x86_like(), fuel) {
+        Err(SdtError::Machine(MachineError::OutOfFuel { steps })) => assert_eq!(steps, fuel),
+        other => panic!("native fuel {fuel}: expected OutOfFuel, got {other:?}"),
+    }
 }
 
 #[test]

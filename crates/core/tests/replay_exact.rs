@@ -7,12 +7,11 @@
 use strata_arch::ArchProfile;
 use strata_asm::assemble;
 use strata_core::{
-    ClassPolicy, DispatchReplay, IbMechanism, IbtcPlacement, IbtcScope, RetMechanism, Sdt,
-    SdtConfig,
+    run_native_observed, ClassPolicy, DispatchReplay, IbMechanism, IbtcPlacement, IbtcScope,
+    RetMechanism, Sdt, SdtConfig,
 };
 use strata_machine::observers::{CompactRetire, RetireLog};
-use strata_machine::syscall::{SyscallState, SDT_TRAP_BASE};
-use strata_machine::{layout, Machine, Program, StepOutcome};
+use strata_machine::{layout, ExecTier, Program};
 
 const FUEL: u64 = 20_000_000;
 
@@ -23,20 +22,8 @@ fn program(name: &str, src: &str) -> Program {
 
 /// Runs `prog` natively (no SDT) and returns its retire stream.
 fn native_log(prog: &Program) -> Vec<CompactRetire> {
-    let mut machine = Machine::new(layout::DEFAULT_MEM_BYTES);
-    prog.load(&mut machine).expect("program loads");
-    let mut syscalls = SyscallState::new();
     let mut log = RetireLog::new();
-    loop {
-        match machine.run(&mut log, FUEL).expect("native run succeeds") {
-            StepOutcome::Halted => break,
-            StepOutcome::Trap(code) => {
-                assert!(code < SDT_TRAP_BASE, "app programs use app traps only");
-                syscalls.handle(code, &machine);
-            }
-            StepOutcome::Running => unreachable!("run returns only on halt/trap"),
-        }
-    }
+    run_native_observed(prog, &[], FUEL, ExecTier::Interp, &mut log).expect("native run succeeds");
     log.into_records()
 }
 

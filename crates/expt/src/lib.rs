@@ -31,9 +31,9 @@
 //! strata bench --cache                 # resumable on-disk cell cache
 //! ```
 //!
-//! The historical `strata-bench` binaries (`fig4_ibtc_size_sweep`, …)
-//! remain as thin delegates to [`run_single`], so one code path defines
-//! each experiment.
+//! `strata bench --filter <id>` is the one way to run a single
+//! experiment: a pattern equal to a registered id selects exactly that
+//! id, any other pattern matches ids by substring.
 //!
 //! [`SdtConfig`]: strata_core::SdtConfig
 //! [`ArchProfile`]: strata_arch::ArchProfile
@@ -62,8 +62,8 @@ pub use registry::{by_id, registry, Experiment};
 pub use sampled::{sampled_mode, set_sampled, SampledCell, DEFAULT_TRACES_DIR};
 pub use store::{parse_record, render_record, Store, StoreStats};
 pub use suite::{
-    baseline_gate, manifest_fingerprint, render_from_store, run_shard, run_single, run_suite,
-    select, validate_filter, work_manifest, write_artifacts, OutputFormat, Shard, ShardReport,
+    baseline_gate, manifest_fingerprint, render_from_store, run_shard, run_suite, select,
+    validate_filter, work_manifest, write_artifacts, OutputFormat, Shard, ShardReport,
     SuiteOptions, SuiteReport,
 };
 pub use view::View;

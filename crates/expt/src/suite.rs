@@ -16,8 +16,7 @@ use strata_workloads::Params;
 use crate::cell::CellKey;
 use crate::exec::execute;
 use crate::experiments::Output;
-use crate::knobs::EnvKnobs;
-use crate::registry::{registry, Experiment};
+use crate::registry::{by_id, registry, Experiment};
 use crate::store::{Store, StoreStats};
 use crate::view::View;
 
@@ -108,13 +107,26 @@ fn patterns(filter: Option<&str>) -> Vec<&str> {
         .collect()
 }
 
-/// Selects experiments matching `filter` (comma-separated substrings of
-/// experiment ids; `None` or empty selects all), in registry order.
+/// Does filter `pattern` select experiment `id`? A pattern that is itself
+/// a registered id selects exactly that experiment (`fig2` is not also
+/// fig20–fig22); any other pattern is a substring (`fig1` selects
+/// fig10–fig19, `table` both tables).
+fn matches(pattern: &str, id: &str) -> bool {
+    if by_id(pattern).is_some() {
+        id == pattern
+    } else {
+        id.contains(pattern)
+    }
+}
+
+/// Selects experiments matching `filter` (comma-separated patterns: an
+/// exact id or an id substring; `None` or empty selects all), in
+/// registry order.
 pub fn select(filter: Option<&str>) -> Vec<&'static Experiment> {
     let patterns = patterns(filter);
     registry()
         .iter()
-        .filter(|e| patterns.is_empty() || patterns.iter().any(|p| e.id.contains(p)))
+        .filter(|e| patterns.is_empty() || patterns.iter().any(|p| matches(p, e.id)))
         .collect()
 }
 
@@ -128,7 +140,7 @@ pub fn select(filter: Option<&str>) -> Vec<&'static Experiment> {
 /// Returns a message naming the dead pattern and every valid id.
 pub fn validate_filter(filter: Option<&str>) -> Result<(), String> {
     for pattern in patterns(filter) {
-        if !registry().iter().any(|e| e.id.contains(pattern)) {
+        if !registry().iter().any(|e| matches(pattern, e.id)) {
             let ids: Vec<&str> = registry().iter().map(|e| e.id).collect();
             return Err(format!(
                 "filter pattern `{pattern}` matches no experiment (ids: {})",
@@ -399,47 +411,6 @@ pub fn write_artifacts(report: &SuiteReport, dir: &Path) -> Result<Vec<PathBuf>,
     Ok(written)
 }
 
-/// Runs one experiment by exact id with default options — the entry point
-/// the `strata-bench` binaries delegate to. Prints text tables (plus CSV
-/// when `STRATA_CSV=1`) to stdout.
-///
-/// # Panics
-///
-/// Panics on an unknown id; the ids are compiled in, so this is a
-/// programming error in the calling binary.
-pub fn run_single(id: &str) {
-    let knobs = EnvKnobs::from_env();
-    crate::registry::by_id(id).unwrap_or_else(|| panic!("unknown experiment id `{id}`"));
-    let opts = SuiteOptions {
-        // An exact id is also a substring of itself; restrict to the exact
-        // match below rather than substring expansion.
-        filter: Some(id.to_string()),
-        params: knobs.params(),
-        ..SuiteOptions::default()
-    };
-    let selected = select(opts.filter.as_deref());
-    let store = Store::in_memory();
-    let exact: Vec<_> = selected.into_iter().filter(|e| e.id == id).collect();
-    let mut cells = Vec::new();
-    for e in &exact {
-        cells.extend((e.cells)(opts.params));
-    }
-    execute(&store, &cells, opts.jobs);
-    let view = View::new(&store, opts.params);
-    for e in &exact {
-        let output = (e.render)(&view);
-        for table in &output.tables {
-            println!("{}", table.render_text());
-            if knobs.csv {
-                println!("{}", table.render_csv());
-            }
-        }
-        for note in &output.notes {
-            println!("{note}");
-        }
-    }
-}
-
 /// Diffs a fresh suite report against the committed baseline snapshot
 /// under `baseline_dir` at `tolerance_pct`.
 ///
@@ -537,10 +508,12 @@ mod tests {
         assert_eq!(tables, ["table1", "table2"]);
         let picked: Vec<&str> = select(Some("fig4, fig7")).iter().map(|e| e.id).collect();
         assert_eq!(picked, ["fig4", "fig7"]);
-        // fig1 is a substring of fig10..fig19.
+        // fig1 is no id, so it is a substring of fig10..fig19.
         assert_eq!(select(Some("fig1")).len(), 10);
-        // fig2 is likewise a substring of fig20..fig22.
-        assert_eq!(select(Some("fig2")).len(), 4);
+        // fig2 is an id: it selects fig2 alone, not fig20..fig22 too.
+        let exact: Vec<&str> = select(Some("fig2")).iter().map(|e| e.id).collect();
+        assert_eq!(exact, ["fig2"]);
+        assert_eq!(select(Some("fig2,fig20,fig21,fig22")).len(), 4);
         assert!(select(Some("nope")).is_empty());
     }
 

@@ -1,8 +1,8 @@
 //! Read-side API experiments render from.
 //!
 //! A [`View`] wraps the shared [`Store`] and the suite's workload
-//! [`Params`], exposing the same vocabulary the old per-binary `Lab`
-//! harness had (`native`, `translated`, `slowdown`, `geomean_slowdown`).
+//! [`Params`], exposing `native`, `translated`, `slowdown` and
+//! `geomean_slowdown`.
 //! The parallel executor pre-warms every declared cell, so renders are
 //! normally pure store lookups; a cell an experiment forgot to declare is
 //! computed on the spot (serially) rather than crashing the suite.

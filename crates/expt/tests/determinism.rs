@@ -159,13 +159,14 @@ fn store_counts_are_consistent() {
     assert!(store.is_empty());
     let opts = SuiteOptions {
         jobs: 1,
-        filter: Some("fig2".into()),
+        filter: Some("fig2,fig20,fig21,fig22".into()),
         format: OutputFormat::Csv,
         params: Params::default(),
         cache_dir: None,
     };
     let report = run_suite(&opts).expect("suite runs");
-    // fig2: reentry config across all 12 workloads + 12 natives.
+    // fig2: reentry config across all 12 workloads + 12 natives; the
+    // fig20-22 cells are x86 natives fig2 already requests.
     assert_eq!(report.unique_cells, 24);
     assert!(report.rendered.starts_with("# fig2:"));
 }

@@ -14,7 +14,7 @@ fn shards_cover_the_suite_and_merge_renders_from_disk() {
 
     let opts = |cache| SuiteOptions {
         jobs: 2,
-        filter: Some("fig2".into()),
+        filter: Some("fig2,fig20,fig21,fig22".into()),
         format: OutputFormat::Text,
         params: Params::default(),
         cache_dir: cache,

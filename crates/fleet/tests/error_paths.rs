@@ -27,7 +27,7 @@ use strata_fleet::protocol::Frame;
 use strata_fleet::{work, Coordinator, FleetReport, Progress, ServeOptions, WorkOptions};
 use strata_workloads::Params;
 
-const FILTER: &str = "fig2";
+const FILTER: &str = "fig2,fig20,fig21,fig22";
 
 fn suite_opts() -> SuiteOptions {
     SuiteOptions {

@@ -9,10 +9,13 @@ use strata_expt::{run_suite, OutputFormat, SuiteOptions};
 use strata_fleet::{work, Coordinator, FleetReport, Progress, ServeOptions, WorkOptions};
 use strata_workloads::Params;
 
-fn suite_opts(filter: &str) -> SuiteOptions {
+/// fig2 plus fig20-22, spelled out: an exact id selects only itself.
+const FILTER: &str = "fig2,fig20,fig21,fig22";
+
+fn suite_opts() -> SuiteOptions {
     SuiteOptions {
         jobs: 1,
-        filter: Some(filter.into()),
+        filter: Some(FILTER.into()),
         format: OutputFormat::Text,
         params: Params::default(),
         cache_dir: None,
@@ -45,7 +48,7 @@ fn worker_opts(addr: &str, name: &str) -> WorkOptions {
 fn fleet_run_is_byte_identical_to_local_run() {
     let serve = ServeOptions {
         bind: "127.0.0.1:0".into(),
-        suite: suite_opts("fig2"),
+        suite: suite_opts(),
         lease: Duration::from_secs(30),
         progress: Progress::Silent,
         progress_every: Duration::from_secs(5),
@@ -77,7 +80,7 @@ fn fleet_run_is_byte_identical_to_local_run() {
         "coordinator must not simulate"
     );
 
-    let local = run_suite(&suite_opts("fig2")).expect("local run");
+    let local = run_suite(&suite_opts()).expect("local run");
     assert_eq!(report.suite.rendered, local.rendered);
     assert_eq!(report.suite.artifacts, local.artifacts);
     assert_eq!(report.suite.unique_cells, local.unique_cells);
@@ -87,7 +90,7 @@ fn fleet_run_is_byte_identical_to_local_run() {
 fn fleet_survives_a_worker_crash_mid_run() {
     let serve = ServeOptions {
         bind: "127.0.0.1:0".into(),
-        suite: suite_opts("fig2"),
+        suite: suite_opts(),
         // Short lease so even a lease-expiry path (not just the
         // disconnect path) could recover within the test budget.
         lease: Duration::from_secs(2),
@@ -126,7 +129,7 @@ fn fleet_survives_a_worker_crash_mid_run() {
 
     // Despite the crash and reassignment, output is byte-identical to a
     // local run.
-    let local = run_suite(&suite_opts("fig2")).expect("local run");
+    let local = run_suite(&suite_opts()).expect("local run");
     assert_eq!(report.suite.rendered, local.rendered);
     assert_eq!(report.suite.artifacts, local.artifacts);
 }
@@ -137,7 +140,7 @@ fn fleet_resumes_from_a_populated_cache() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // Prime the cache with a full local run.
-    let mut cached = suite_opts("fig2");
+    let mut cached = suite_opts();
     cached.cache_dir = Some(dir.clone());
     let local = run_suite(&cached).expect("local run");
 

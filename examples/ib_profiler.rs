@@ -10,9 +10,9 @@
 
 use std::collections::{BTreeMap, HashSet};
 
+use strata_lab::core::run_native_observed;
 use strata_lab::isa::ControlKind;
-use strata_lab::machine::syscall::SyscallState;
-use strata_lab::machine::{layout, ExecutionObserver, Machine, RetireEvent, StepOutcome};
+use strata_lab::machine::{ExecTier, ExecutionObserver, RetireEvent};
 use strata_lab::stats::Table;
 use strata_lab::workloads::{by_name, Params};
 
@@ -54,19 +54,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     let program = (spec.build)(&Params::default());
 
-    let mut machine = Machine::new(layout::DEFAULT_MEM_BYTES);
-    program.load(&mut machine)?;
+    // The native run loop, with no cost model: the profiler is the only
+    // observer.
     let mut profiler = IbProfiler::default();
-    let mut syscalls = SyscallState::new();
-    loop {
-        match machine.run(&mut profiler, 2_000_000_000)? {
-            StepOutcome::Halted => break,
-            StepOutcome::Trap(code) => {
-                syscalls.handle(code, &machine);
-            }
-            StepOutcome::Running => unreachable!(),
-        }
-    }
+    run_native_observed(
+        &program,
+        &[],
+        2_000_000_000,
+        ExecTier::Interp,
+        &mut profiler,
+    )?;
 
     let mut sites: Vec<(&u32, &SiteStats)> = profiler.sites.iter().collect();
     sites.sort_by_key(|(_, s)| std::cmp::Reverse(s.executions));

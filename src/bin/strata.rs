@@ -286,7 +286,7 @@ fn run_cmd(args: &[String]) -> Result<(), String> {
 /// `STRATA_SCALE` / `STRATA_VARIANT` provide defaults for `--scale` /
 /// `--variant`; JSON artifacts land in `results/` unless `--no-artifacts`.
 fn bench_cmd(args: &[String]) -> Result<(), String> {
-    let knobs = EnvKnobs::from_env();
+    let knobs = EnvKnobs::from_env()?;
     // Pin the process-wide execution tier for native cells before any
     // cell runs. Absent flags, `exec_tier()` falls back to the
     // STRATA_TIER environment variable, then the interpreter.
@@ -398,13 +398,6 @@ fn bench_cmd(args: &[String]) -> Result<(), String> {
 
     let report = expt::run_suite(&opts)?;
     print!("{}", report.rendered);
-    if knobs.csv && opts.format == OutputFormat::Text {
-        for section in &report.sections {
-            for table in &section.output.tables {
-                println!("{}", table.render_csv());
-            }
-        }
-    }
 
     if !args.iter().any(|a| a == "--no-artifacts") {
         let written = expt::write_artifacts(&report, artifacts_dir.as_ref())?;
@@ -460,7 +453,7 @@ fn fleet_cmd(args: &[String]) -> Result<(), String> {
             let args = &args[1..];
             parse_sampled(args)?;
             parse_predictor_flag(args)?;
-            let knobs = EnvKnobs::from_env();
+            let knobs = EnvKnobs::from_env()?;
             let mut serve = fleet::ServeOptions {
                 suite: SuiteOptions {
                     params: knobs.params(),

@@ -13,16 +13,15 @@
 //! * [`analysis`] — `strata verify`: static CFG + dataflow checker over
 //!   the emitted fragment cache,
 //! * [`workloads`] — SPEC CINT2000 stand-in programs,
-//! * [`stats`] — tables/series for the experiment binaries,
+//! * [`stats`] — tables/series every experiment renders through,
 //! * [`expt`] — the parallel experiment orchestrator behind `strata bench`,
 //! * [`trace`] — compressed retire-trace recording plus BBV/SimPoint
 //!   phase analysis, the substrate of `strata trace` and `bench --sampled`,
 //! * [`fleet`] — the coordinator/worker pair behind `strata fleet`, for
 //!   spreading a suite run across machines over TCP.
 //!
-//! See `examples/quickstart.rs` for a end-to-end tour and the
-//! `strata-bench` crate for the binaries that regenerate each table and
-//! figure of the paper.
+//! See `examples/quickstart.rs` for a end-to-end tour; each table and
+//! figure of the paper regenerates with `strata bench --filter <id>`.
 
 pub mod cli;
 
